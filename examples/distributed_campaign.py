@@ -4,11 +4,10 @@
 Three worker processes share one campaign grid through the lease-based
 claim protocol (repro.testbed.distributed): each claims conditions via
 atomic claims/<fingerprint>.lease files, simulates only what it holds,
-appends manifest lines stamped with its worker id, and flushes a
-mergeable partial aggregate to partials/<worker>.json. No condition is
+and appends manifest lines stamped with its worker id. No condition is
 ever simulated twice, a killed worker's leases expire and are reclaimed
-by its peers, and merging the partials reproduces exactly the report a
-single sequential worker would have produced.
+by its peers, and the report over the shared directory is exactly the
+one a single sequential worker would have produced.
 
 On real deployments the workers run on different hosts mounting the
 same filesystem — this demo uses local processes, which is the same
@@ -21,12 +20,12 @@ Run:  python examples/distributed_campaign.py
 import json
 import multiprocessing
 
+from repro.analysis.streaming import GridReport
 from repro.report import render_grid
-from repro.testbed import Campaign, CampaignSpec
+from repro.testbed import Campaign, CampaignSpec, campaign_report
 from repro.testbed.distributed import (
     LeaseConfig,
     join_campaign,
-    merge_partial_reports,
     run_worker,
 )
 
@@ -75,12 +74,12 @@ def main() -> None:
     print(f"\nmanifest: {len(lines)} lines, {unique} unique "
           f"conditions, split {by_worker}")
 
-    # Merge the workers' partial aggregates into one report — identical
-    # to a single sequential worker's (exactly-mergeable moments).
-    merged = merge_partial_reports(campaign.campaign_dir,
-                                   cache_dir=CACHE)
+    # One report over the shared directory, in the spec's sweep order —
+    # identical to a single sequential worker's.
+    report = campaign_report(campaign.campaign_dir, GridReport(),
+                             cache_dir=CACHE)
     print()
-    print(render_grid(merged))
+    print(render_grid(report))
 
 
 if __name__ == "__main__":

@@ -5,10 +5,9 @@ statistic; these accumulators consume a stream of values (or of
 ``(ConditionKey, RecordingSummary)`` pairs from
 :class:`repro.testbed.store.SummaryStore`) and keep only sufficient
 statistics, so aggregating an N-condition campaign grid costs O(axes)
-memory instead of O(N). Every accumulator has a ``merge()`` that
-combines two partial aggregations exactly — the building block for
-per-worker partial aggregation when campaign workers are distributed
-across hosts.
+memory instead of O(N). The moment, histogram and count accumulators
+have a ``merge()`` that combines two partial aggregations exactly —
+the building block for the study pipeline's sharded partials.
 
 Equality with the batch layer is part of the contract and is pinned by
 tests: :meth:`StreamingMoments.ci` matches
@@ -195,28 +194,6 @@ class StreamingHistogram:
     def quantiles(self, qs: Sequence[float]) -> List[float]:
         return [self.quantile(q) for q in qs]
 
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serialisable state; ``from_json`` round-trips exactly."""
-        return {
-            "bin_width": self.bin_width,
-            "count": self.count,
-            "minimum": None if math.isinf(self.minimum) else self.minimum,
-            "maximum": None if math.isinf(self.maximum) else self.maximum,
-            "bins": {str(index): count
-                     for index, count in self._bins.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "StreamingHistogram":
-        histogram = cls(bin_width=float(data["bin_width"]))
-        histogram.count = int(data["count"])
-        minimum, maximum = data.get("minimum"), data.get("maximum")
-        histogram.minimum = math.inf if minimum is None else float(minimum)
-        histogram.maximum = -math.inf if maximum is None else float(maximum)
-        histogram._bins = {int(index): int(count)
-                           for index, count in dict(data["bins"]).items()}
-        return histogram
-
 
 class CountTable:
     """Mergeable table of fixed-width integer count vectors.
@@ -379,30 +356,6 @@ class AxisAccumulator:
     def items(self) -> Iterator[Tuple[Tuple[object, ...], StreamingMoments]]:
         return iter(self.groups.items())
 
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serialisable state: axes/metric plus per-group moments.
-
-        Axis values are strings or ints (see ``ConditionKey``), so the
-        JSON round-trip reconstructs group keys exactly — the basis for
-        flushing a worker's partial aggregation to disk and merging it
-        on another host.
-        """
-        return {
-            "axes": list(self.axes),
-            "metric": self.metric,
-            "groups": [{"group": list(group), "moments": moments.to_json()}
-                       for group, moments in self.groups.items()],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "AxisAccumulator":
-        accumulator = cls(axes=tuple(data["axes"]),
-                          metric=str(data["metric"]))
-        for entry in data["groups"]:
-            accumulator.groups[tuple(entry["group"])] = \
-                StreamingMoments.from_json(entry["moments"])
-        return accumulator
-
 
 # -- pivoted grid reports ----------------------------------------------------
 
@@ -433,9 +386,9 @@ class GridReport:
     columns the values of the ``cols`` axis (e.g. stack); each cell
     accumulates the per-run samples of ``metric`` into mergeable
     moments, rendered as mean ± CI with a Welch significance mark
-    against the ``baseline`` column (default: the first column seen).
-    Row and column order follow first appearance in the stream, which
-    for a campaign is the spec's deterministic sweep order.
+    against the ``baseline`` column (default: the first column).
+    Row and column order follow first appearance in the stream until
+    :meth:`reorder` pins them to a campaign spec's sweep order.
     """
 
     def __init__(
@@ -489,36 +442,16 @@ class GridReport:
             self.add(key, summary)
         return self
 
-    def merge(self, other: "GridReport") -> "GridReport":
-        """Fold a partial report (another worker's shard) into this one."""
-        if (other.row_axes, other.col_axis, other.metric) != \
-                (self.row_axes, self.col_axis, self.metric):
-            raise ValueError("can only merge identically-configured "
-                             "reports")
-        for row in other._row_order:
-            self._row_order.setdefault(row)
-        for col in other._col_order:
-            self._col_order.setdefault(col)
-        for cell_key, moments in other._cells.items():
-            mine = self._cells.get(cell_key)
-            if mine is None:
-                self._cells[cell_key] = moments.copy()
-            else:
-                mine.merge(moments)
-        return self
-
     def mark_coverage(self, expected: int,
                       missing: Sequence[str]) -> "GridReport":
         """Record which expected conditions this report does *not* cover.
 
-        Set by degraded-mode mergers (crashed workers, quarantined
-        conditions — see ``merge_partial_reports``): ``expected`` is the
+        Set by ``repro.testbed.store.campaign_report`` (crashed workers,
+        quarantined conditions, pruned recordings): ``expected`` is the
         spec's condition count, ``missing`` the labels with no recording
-        behind them. Coverage is presentation metadata, not accumulator
-        state — it does not survive ``to_state`` and never affects
-        ``merge`` identity, so a degraded report still merges and, once
-        the gaps are re-simulated, renders byte-identically to a
-        fault-free run.
+        behind them. A report with nothing missing renders exactly like
+        one never marked, so once the gaps are re-simulated it is
+        byte-identical to a fault-free run.
         """
         self.expected = int(expected)
         self.missing = sorted(missing)
@@ -532,12 +465,12 @@ class GridReport:
     def reorder(self, keys: Iterable[object]) -> "GridReport":
         """Reorder rows/columns to follow ``keys``' first appearance.
 
-        Merged reports inherit row/column order from whichever shard
-        merged first — which for distributed (and especially chaos)
-        runs depends on worker timing. Reordering to the campaign
-        spec's deterministic sweep order makes the render independent
-        of execution history, so a crash-and-recover run is
-        byte-identical to a fault-free one. Keys absent from the data
+        First appearance in a stream depends on which conditions it
+        holds and in what order they landed (worker timing, missing
+        conditions). Reordering to the campaign spec's deterministic
+        sweep order makes the render independent of execution history,
+        so a crash-and-recover run is byte-identical to a fault-free
+        one. Keys absent from the data
         are ignored; rows/columns the keys don't name keep their
         relative order at the end. Note the default baseline column is
         the *first* column, so reordering also pins which column the
@@ -595,59 +528,6 @@ class GridReport:
                 p = moments.welch_p(base)
         return GridCellStat(ci=moments.ci(self.confidence),
                             p_vs_baseline=p, alpha=self.alpha)
-
-    # -- state (de)serialization ---------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """Full internal state as a JSON-serialisable document.
-
-        Unlike :meth:`to_json` (a rendered readout), this round-trips
-        the accumulator itself: ``GridReport.from_state(r.to_state())``
-        yields a report that accumulates, merges and renders identically
-        to ``r``. It is what distributed campaign workers flush to
-        ``partials/<worker>.json`` so a leader on another host can
-        :meth:`merge` their shards.
-        """
-        return {
-            "row_axes": list(self.row_axes),
-            "col_axis": self.col_axis,
-            "metric": self.metric,
-            "confidence": self.confidence,
-            "baseline": self.baseline,
-            "row_order": [list(row) for row in self._row_order],
-            "col_order": list(self._col_order),
-            "cells": [{"row": list(row), "col": col,
-                       "moments": moments.to_json()}
-                      for (row, col), moments in self._cells.items()],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "GridReport":
-        """Rebuild a report from :meth:`to_state` output.
-
-        Axis values are strings or ints (``ConditionKey`` axes), so the
-        JSON round-trip reconstructs row/column keys exactly.
-        """
-        report = cls(
-            rows=tuple(state["row_axes"]),
-            cols=str(state["col_axis"]),
-            metric=str(state["metric"]),
-            confidence=float(state["confidence"]),
-            baseline=state.get("baseline"),
-        )
-        for row in state["row_order"]:
-            report._row_order.setdefault(tuple(row))
-        for col in state["col_order"]:
-            report._col_order.setdefault(col)
-        for cell in state["cells"]:
-            report._cells[(tuple(cell["row"]), cell["col"])] = \
-                StreamingMoments.from_json(cell["moments"])
-        return report
-
-    def config(self) -> Tuple[Tuple[str, ...], str, str, float]:
-        """The identity that decides whether two reports can merge."""
-        return (self.row_axes, self.col_axis, self.metric,
-                self.confidence)
 
     def to_json(self) -> Dict[str, object]:
         """JSON document mirroring the rendered pivot."""

@@ -24,11 +24,10 @@ campaign directory without re-running anything.
 Campaigns also scale *out*: ``campaign --workers N`` runs N cooperative
 lease-claiming workers locally, and ``campaign --join DIR`` joins an
 existing campaign directory from any host that mounts it — workers
-never simulate a condition twice and each flushes a mergeable partial
-aggregate (see ``repro.testbed.distributed`` and
-``docs/architecture.md``). ``--report --campaign-dir DIR
---from-partials`` merges those per-worker shards instead of re-reading
-every summary.
+never simulate a condition twice (see ``repro.testbed.distributed`` and
+``docs/architecture.md``). Every report, live or post-hoc, streams the
+recorded summaries in the spec's sweep order, so it does not depend on
+which worker finished first.
 
 And they are chaos-hardened: ``campaign --supervise N`` runs N workers
 under a supervisor that respawns crashes with capped backoff and
@@ -47,7 +46,7 @@ import os
 import sys
 from pathlib import Path
 from statistics import fmean
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.analysis.streaming import GRID_AXES, GridReport
 from repro.lint.cli import add_lint_arguments
@@ -75,7 +74,6 @@ from repro.testbed.distributed import (
     LeaseConfig,
     default_worker_id,
     join_campaign,
-    merge_partial_reports,
     run_worker,
 )
 from repro.testbed.supervisor import (
@@ -84,7 +82,7 @@ from repro.testbed.supervisor import (
     render_status,
 )
 from repro.testbed.harness import Testbed
-from repro.testbed.store import StaleCampaignError, SummaryStore
+from repro.testbed.store import StaleCampaignError, campaign_report
 from repro.transport.config import STACKS
 from repro.web.corpus import CORPUS_SITE_NAMES, build_corpus, build_site
 from repro.web.io import save_website
@@ -209,24 +207,48 @@ def _make_report(args: argparse.Namespace) -> GridReport:
                       confidence=args.confidence)
 
 
-def _print_report(report: GridReport, fmt: str) -> None:
-    if fmt == "md":
+def _print_report(args: argparse.Namespace,
+                  campaign_dir: Union[str, Path],
+                  cache_dir: Optional[Union[str, Path]] = None,
+                  check_behaviour: bool = True) -> int:
+    """Print the campaign directory's report in ``--format``; 1 when
+    the cache holds none of its recordings."""
+    try:
+        report = campaign_report(campaign_dir, _make_report(args),
+                                 cache_dir=cache_dir,
+                                 check_behaviour=check_behaviour)
+    except StaleCampaignError as error:
+        raise SystemExit(
+            f"repro campaign: error: {error} (from the CLI: "
+            f"--allow-stale)")
+    except FileNotFoundError as error:
+        print(f"repro campaign: error: {error}", file=sys.stderr)
+        return 1
+    if args.format == "md":
         print(md_grid(report))
-    elif fmt == "json":
+    elif args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(render_grid(report))
+    return 0
+
+
+def _print_run_report(args: argparse.Namespace, campaign: Campaign,
+                      info) -> int:
+    """:func:`_print_report` after a run, below its progress lines."""
+    if info is sys.stdout:
+        print()
+    return _print_report(args, campaign.campaign_dir,
+                         cache_dir=campaign.cache.directory)
 
 
 def _worker_entry(campaign_dir: str, cache_dir: Optional[str],
                   worker_id: str, lease: LeaseConfig,
-                  report_args: argparse.Namespace,
                   run_kwargs: dict) -> None:
     """Child cooperative worker (``--workers N`` spawns N-1 of these)."""
     campaign = join_campaign(campaign_dir, cache_dir=cache_dir)
-    report = _make_report(report_args)
     result = run_worker(campaign, worker_id=worker_id, lease=lease,
-                        report=report, **run_kwargs)
+                        **run_kwargs)
     sys.exit(0 if result.ok else 1)
 
 
@@ -245,30 +267,6 @@ def _parse_fault_plan(text: str) -> "faults.FaultPlan":
     except (ValueError, OSError, json.JSONDecodeError) as error:
         raise SystemExit(
             f"repro campaign: error: bad --inject-faults plan: {error}")
-
-
-def _report_merged(args: argparse.Namespace, campaign: Campaign,
-                   info) -> None:
-    """Render the merged (possibly degraded) post-run report."""
-    try:
-        merged = merge_partial_reports(campaign.campaign_dir,
-                                       report=_make_report(args),
-                                       cache_dir=args.cache_dir)
-    except (StaleCampaignError, ValueError) as error:
-        # E.g. shards left by an earlier run with different report
-        # flags. The recordings themselves are fine — fall back to
-        # streaming every summary rather than dropping the report
-        # after a possibly long run.
-        print(f"warning: cannot merge worker partials ({error}); "
-              f"reporting from the recorded summaries instead",
-              file=sys.stderr)
-        merged = _make_report(args)
-        store = SummaryStore.open(campaign.campaign_dir,
-                                  cache_dir=args.cache_dir)
-        merged.consume(store)
-    if info is sys.stdout:
-        print()
-    _print_report(merged, args.format)
 
 
 def _cmd_campaign_supervised(args: argparse.Namespace,
@@ -309,8 +307,8 @@ def _cmd_campaign_supervised(args: argparse.Namespace,
     )
     outcome = supervisor.run()
     print(outcome.describe(), file=info)
-    if args.report:
-        _report_merged(args, campaign, info)
+    if args.report and _print_run_report(args, campaign, info):
+        return 1
     return 0 if outcome.ok else 1
 
 
@@ -351,7 +349,7 @@ def _cmd_campaign_distributed(args: argparse.Namespace,
         child = ctx.Process(
             target=_worker_entry,
             args=(str(campaign.campaign_dir), args.cache_dir,
-                  f"{base_id}-{index}", lease, args, run_kwargs),
+                  f"{base_id}-{index}", lease, run_kwargs),
         )
         child.start()
         children.append(child)
@@ -360,8 +358,7 @@ def _cmd_campaign_distributed(args: argparse.Namespace,
         result = run_worker(
             campaign,
             worker_id=base_id if workers == 1 else f"{base_id}-0",
-            lease=lease, report=_make_report(args), progress=progress,
-            **run_kwargs)
+            lease=lease, progress=progress, **run_kwargs)
     except BaseException:
         # Abort/Ctrl-C in this worker must not leave the siblings
         # silently finishing the grid while the interpreter waits on
@@ -397,8 +394,8 @@ def _cmd_campaign_distributed(args: argparse.Namespace,
             last = (failed.error or "").strip().splitlines()
             print(f"FAILED {failed.condition.label}: "
                   f"{last[-1] if last else 'unknown error'}", file=info)
-    if args.report:
-        _report_merged(args, campaign, info)
+    if args.report and _print_run_report(args, campaign, info):
+        return 1
     return 0 if result.ok and not failed_children else 1
 
 
@@ -424,52 +421,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         faults.install(plan,
                        worker=os.environ.get(faults.WORKER_ENV, "*"))
     if args.campaign_dir is not None:
-        # Post-hoc reporting: stream a finished campaign directory's
-        # summaries through the accumulators — nothing is re-run.
-        report = _make_report(args)
-        if args.from_partials:
-            try:
-                merged = merge_partial_reports(
-                    args.campaign_dir, report=report,
-                    cache_dir=args.cache_dir,
-                    check_behaviour=not args.allow_stale)
-            except StaleCampaignError as error:
-                raise SystemExit(
-                    f"repro campaign: error: {error} (from the CLI: "
-                    f"--allow-stale)")
-            except ValueError as error:
-                raise SystemExit(f"repro campaign: error: {error}")
-            _print_report(merged, args.format)
-            return 0
-        try:
-            store = SummaryStore.open(args.campaign_dir,
-                                      cache_dir=args.cache_dir,
-                                      check_behaviour=not args.allow_stale)
-        except StaleCampaignError as error:
-            raise SystemExit(
-                f"repro campaign: error: {error} (from the CLI: "
-                f"--allow-stale)")
-        # recorded_count() is the manifest's claim (no summary loads,
-        # legacy-manifest-proof); comparing it against what iteration
-        # yields detects a wrong/pruned cache directory.
-        listed = store.recorded_count()
-        fed = 0
-        for key, summary in store:
-            report.add(key, summary)
-            fed += 1
-        if listed and not fed:
-            print(f"repro campaign: error: manifest lists {listed} "
-                  f"recorded conditions but none were found in the "
-                  f"cache ({store.cache.directory}) — wrong or pruned "
-                  f"--cache-dir?", file=sys.stderr)
-            return 1
-        if fed < listed:
-            print(f"warning: {listed - fed} of {listed} recorded "
-                  f"conditions missing from the cache "
-                  f"({store.cache.directory}); the report covers the "
-                  f"remaining {fed}", file=sys.stderr)
-        _print_report(report, args.format)
-        return 0
+        # Post-hoc reporting on a finished campaign directory: nothing
+        # is re-run.
+        return _print_report(args, args.campaign_dir,
+                             cache_dir=args.cache_dir,
+                             check_behaviour=not args.allow_stale)
+    if args.report:
+        _make_report(args)  # reject bad report flags before any run
     # With a JSON report, stdout must stay machine-parseable: all
     # progress/banner lines move to stderr.
     info = sys.stderr if args.report and args.format == "json" \
@@ -544,19 +502,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.workers is not None:
         return _cmd_campaign_distributed(args, campaign, info)
     progress = None if args.quiet else ProgressPrinter(stream=info)
-    report = _make_report(args) if args.report else None
-    sink = None
-    if report is not None:
-        # Summaries stream into the accumulators as conditions settle;
-        # rendering after the run needs no second pass over the grid.
-        sink = lambda condition, summary: \
-            report.add(condition.key, summary)  # noqa: E731
     result = campaign.run(
         processes=args.processes,
         failure_policy=args.failure_policy,
         progress=progress,
         batch_size=args.batch_size,
-        sink=sink,
     )
     counts = result.counts
     rate = len(result.results) / result.duration_s if result.duration_s else 0
@@ -569,13 +519,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"FAILED {failed.condition.label}: "
                   f"{last[-1] if last else 'unknown error'}", file=info)
         return 1
-    if report is not None:
-        if info is sys.stdout:
-            print()
-        _print_report(report, args.format)
-    else:
-        mean_si = fmean(s.si for _, s in campaign.iter_summaries())
-        print(f"mean SI over the grid: {mean_si:.2f} s")
+    if args.report:
+        return _print_run_report(args, campaign, info)
+    mean_si = fmean(s.si for _, s in campaign.iter_summaries())
+    print(f"mean SI over the grid: {mean_si:.2f} s")
     return 0
 
 
@@ -843,13 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "SIM_BEHAVIOUR_VERSION instead of "
                                  "refusing (results are not comparable "
                                  "with current simulations)")
-    p_campaign.add_argument("--from-partials", action="store_true",
-                            help="with --campaign-dir: merge the "
-                                 "workers' partials/<worker>.json "
-                                 "shards (plus any uncovered summaries) "
-                                 "instead of re-reading every summary; "
-                                 "requires the shards' pivot config to "
-                                 "match the report flags")
     p_campaign.add_argument("--join", default=None, metavar="DIR",
                             help="join an existing campaign directory "
                                  "as a cooperative lease-claiming "
@@ -861,13 +801,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run N cooperative workers on this "
                                  "machine (with or without --join); "
                                  "each claims conditions through the "
-                                 "lease protocol and writes its own "
-                                 "partial aggregate (default: plain "
+                                 "lease protocol (default: plain "
                                  "single-worker execution)")
     p_campaign.add_argument("--worker-id", default=None,
                             help="cooperative worker identity stamped "
-                                 "on claims, manifest lines and partial "
-                                 "files (default: <host>-<pid>)")
+                                 "on claims and manifest lines "
+                                 "(default: <host>-<pid>)")
     p_campaign.add_argument("--lease-ttl", type=float, default=60.0,
                             metavar="SECONDS",
                             help="seconds without a heartbeat before "

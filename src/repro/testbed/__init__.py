@@ -6,12 +6,11 @@ result is summarised for the user studies and analyses. Sweeps are cached
 on disk because the full 36 x 4 x 5 grid is tens of thousands of page
 loads.
 
-Three layers:
+Layers:
 
 * :class:`Testbed` — sequential sweeps with a content-addressed disk
   cache (cache keys hash the *full* condition parameters, so changing
   any parameter can never return a stale recording).
-* :func:`parallel_sweep` — the same grid over a process pool.
 * :class:`Campaign` / :class:`CampaignSpec` — declarative, resumable
   campaigns over arbitrary axes (sites × networks × stacks × seeds,
   including derived loss-sweep and trace-driven network profiles), with
@@ -20,11 +19,13 @@ Three layers:
 * :class:`SummaryStore` / :class:`ConditionKey` — streaming access to a
   campaign's recordings: lazy ``(key, summary)`` iteration, live (via
   :meth:`Campaign.summary_store` or the ``sink`` argument of
-  :meth:`Campaign.run`) or post-hoc from a campaign directory on disk.
+  :meth:`Campaign.run`) or post-hoc from a campaign directory on disk;
+  :func:`campaign_report` renders a directory as a grid report in the
+  spec's sweep order.
 * :mod:`repro.testbed.distributed` — cooperative multi-host execution:
   lease-based claims let any number of :func:`run_worker` processes
   (``repro campaign --join DIR``) share one campaign directory without
-  double-simulating, each flushing a mergeable partial aggregate.
+  double-simulating.
 """
 
 from repro.testbed.campaign import (
@@ -44,7 +45,6 @@ from repro.testbed.distributed import (
     LeaseManager,
     default_worker_id,
     join_campaign,
-    merge_partial_reports,
     run_worker,
 )
 from repro.testbed.harness import (
@@ -53,12 +53,12 @@ from repro.testbed.harness import (
     Testbed,
     condition_fingerprint,
 )
-from repro.testbed.parallel import parallel_sweep
 from repro.testbed.store import (
     CONDITION_AXES,
     ConditionKey,
     StaleCampaignError,
     SummaryStore,
+    campaign_report,
 )
 
 __all__ = [
@@ -79,11 +79,10 @@ __all__ = [
     "StaleCampaignError",
     "SummaryStore",
     "Testbed",
+    "campaign_report",
     "condition_fingerprint",
     "default_worker_id",
     "join_campaign",
-    "merge_partial_reports",
-    "parallel_sweep",
     "run_campaign_spec",
     "run_worker",
     "spec_from_json",

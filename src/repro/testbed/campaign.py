@@ -40,9 +40,9 @@ import json
 import multiprocessing
 import os
 import sys
+import tempfile
 import time
 import traceback
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -128,13 +128,29 @@ class Condition:
                                if self.middleboxes.boxes else "none")
 
     def fingerprint(self) -> str:
-        """Content hash over every output-determining parameter."""
-        return condition_fingerprint(
-            self.website, self.profile, self.stack,
-            corpus_seed=self.corpus_seed, seed=self.seed, runs=self.runs,
-            timeout=self.timeout, selection_metric=self.selection_metric,
-            path=self.path, middleboxes=self.middleboxes,
-        )
+        """Content hash over every output-determining parameter.
+
+        Hashed once per instance: the work queue asks again for every
+        pending condition on every claim pass.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            cached = condition_fingerprint(
+                self.website, self.profile, self.stack,
+                corpus_seed=self.corpus_seed, seed=self.seed,
+                runs=self.runs, timeout=self.timeout,
+                selection_metric=self.selection_metric,
+                path=self.path, middleboxes=self.middleboxes,
+            )
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle the fields alone, so workers receive the same bytes
+        # whether or not the parent hashed the condition first.
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     @property
     def key(self) -> ConditionKey:
@@ -588,10 +604,21 @@ class Campaign:
             # Atomic: spec.json is the --join entry point, and a
             # half-written file would brick the directory for every
             # joiner (the exists() guard means it is never rewritten).
-            tmp = spec_path.with_name(
-                f".{spec_path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(self.spec.describe(), indent=2))
-            os.replace(tmp, spec_path)
+            # The temp name is unique per writer: joiners racing here
+            # may share a process.
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=f".{spec_path.name}.", suffix=".tmp",
+                dir=self.campaign_dir)
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(json.dumps(self.spec.describe(), indent=2))
+                os.replace(tmp_name, spec_path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
         return spec_path
 
     # -- execution -----------------------------------------------------------
@@ -641,8 +668,6 @@ class Campaign:
           conditions into acquired leases and ones held elsewhere;
         * ``release(condition)`` — drop a lease after the condition's
           manifest line landed (success or terminal failure);
-        * ``recorded(condition, summary)`` — this worker
-          simulated+stored the condition (partial-aggregation hook);
         * ``wait(deferred) -> (settled, reclaimed, still_deferred)`` —
           one bounded poll: conditions now recorded by another worker,
           conditions whose lease went stale (ours to retry), and the
@@ -830,18 +855,10 @@ class Campaign:
                             duration_s=duration)
                         settled[fingerprint] = result
                         self._append_manifest(result)
-                        # One read serves both consumers of the summary.
-                        summary = self.cache.load(condition.label,
-                                                  fingerprint) \
-                            if (claims is not None or sink is not None) \
-                            else None
                         if claims is not None:
                             claims.release(condition)
-                            if summary is not None:
-                                claims.recorded(condition, summary)
                         tick(result)
-                        if sink is not None and summary is not None:
-                            sink(condition, summary)
+                        feed_sink(condition)
                         continue
                     if failure_policy == "abort":
                         result = ConditionResult(
@@ -968,10 +985,9 @@ class Campaign:
     ) -> Iterator[Tuple[Condition, RecordingSummary]]:
         """Yield ``(condition, summary)`` lazily, in sweep order.
 
-        One summary is in memory at a time — this is the streaming
-        replacement for the deprecated whole-grid :meth:`summaries`.
-        Raises :class:`KeyError` for a condition that has not been
-        recorded yet — run the campaign first.
+        One summary is in memory at a time. Raises :class:`KeyError`
+        for a condition that has not been recorded yet — run the
+        campaign first.
         """
         for condition in self.spec.conditions():
             summary = self.cache.load(condition.label,
@@ -996,19 +1012,6 @@ class Campaign:
                 keys.append(key)
         return SummaryStore(self.cache, keys=keys,
                             campaign_dir=self.campaign_dir)
-
-    def summaries(self) -> List[RecordingSummary]:
-        """Deprecated: load every condition's summary into one list.
-
-        Materialises the whole grid in memory; use
-        :meth:`iter_summaries` (lazy pairs) or :meth:`summary_store`
-        (streaming, post-hoc capable) instead.
-        """
-        warnings.warn(
-            "Campaign.summaries() loads the whole grid into memory; "
-            "use Campaign.iter_summaries() or Campaign.summary_store()",
-            DeprecationWarning, stacklevel=2)
-        return [summary for _, summary in self.iter_summaries()]
 
 
 def run_campaign_spec(

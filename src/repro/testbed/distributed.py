@@ -1,10 +1,9 @@
 """Cooperative multi-host execution of one campaign over a shared dir.
 
-The PR-1 manifest and content-addressed recording cache are share-safe
-on a common filesystem (atomic renames, per-writer unique tmp files,
-append-only manifest), and the streaming accumulators' exact ``merge()``
-makes per-worker partial aggregation safe. This module adds the missing
-piece: a **lease-based claim protocol** so any number of worker
+The campaign manifest and content-addressed recording cache are
+share-safe on a common filesystem (atomic renames, per-writer unique tmp
+files, append-only manifest). This module adds the missing piece: a
+**lease-based claim protocol** so any number of worker
 processes — on one machine or many hosts mounting the same directory —
 can pull conditions from one :class:`~repro.testbed.campaign.CampaignSpec`
 grid without ever simulating the same condition twice.
@@ -38,16 +37,10 @@ looks like reclaimable work to the next worker, which applies its own
 conditions" semantics a single-host re-run has, bounded at one retry
 budget per worker.
 
-Each worker also periodically flushes a **partial aggregate** —
-``partials/<worker>.json``, the serialized
-:class:`~repro.analysis.streaming.GridReport` state over the conditions
-*it* simulated — so a leader (or a post-hoc
-``repro campaign --report --campaign-dir DIR --from-partials``) can
-:func:`merge_partial_reports` the shards into one report without
-re-reading every summary. Conditions covered by no partial (resumed or
-cached before any worker started, or recorded by a worker that crashed
-before flushing) are completed from the
-:class:`~repro.testbed.store.SummaryStore`.
+Workers keep no report state of their own: the shared manifest and
+cache are the whole result, and
+:func:`~repro.testbed.store.campaign_report` renders it from any host,
+during or after the run.
 
 Clock caveat: staleness compares the shared filesystem's mtime against
 the local clock, so keep ``ttl_s`` comfortably above both the heartbeat
@@ -58,7 +51,6 @@ fleets).
 from __future__ import annotations
 
 import json
-import logging
 import os
 import socket
 import threading
@@ -68,7 +60,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.streaming import GridReport
 from repro.testbed import faults, harness
 from repro.testbed.campaign import (
     Campaign,
@@ -81,14 +72,9 @@ from repro.testbed.campaign import (
 from repro.testbed.store import (
     CLAIMS_DIRNAME,
     OK_STATUSES,
-    PARTIALS_DIRNAME,
     QUARANTINE_DIRNAME,
     StaleCampaignError,
-    SummaryStore,
-    seal_record,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def default_worker_id() -> str:
@@ -97,11 +83,10 @@ def default_worker_id() -> str:
 
 
 def sanitize_worker_id(worker_id: str) -> str:
-    """Make a worker id safe to embed in lease/partial file names.
+    """Make a worker id safe to embed in lease file names.
 
-    Ids become path components (``claims/<fp>.lease.stale-<id>-...``,
-    ``partials/<id>.json``); a ``/`` or other special character would
-    break tombstone renames and hide partials from discovery.
+    Ids become path components (``claims/<fp>.lease.stale-<id>-...``);
+    a ``/`` or other special character would break tombstone renames.
     """
     safe = "".join(c if c.isalnum() or c in "._-" else "-"
                    for c in worker_id)
@@ -307,24 +292,25 @@ class _HeartbeatThread(threading.Thread):
         super().__init__(name=f"lease-heartbeat-{leases.worker_id}",
                          daemon=True)
         self._leases = leases
-        self._stop = threading.Event()
+        # Not ``_stop``: that would shadow the Thread method which
+        # forked children (the worker's process pool) call after fork.
+        self._halt = threading.Event()
 
     def run(self) -> None:
         interval = self._leases.config.heartbeat_s
-        while not self._stop.wait(interval):
+        while not self._halt.wait(interval):
             self._leases.heartbeat()
 
     def stop(self) -> None:
-        self._stop.set()
+        self._halt.set()
 
 
 class ClaimQueue:
     """The ``claims`` hook :meth:`Campaign.run` drives (see its docs).
 
-    Bridges the campaign's work queue to a :class:`LeaseManager` and an
-    optional :class:`PartialAggregator`: ``select`` acquires leases
-    (breaking stale ones), ``wait`` is one bounded poll over deferred
-    conditions, ``recorded`` feeds the partial aggregate.
+    Bridges the campaign's work queue to a :class:`LeaseManager`:
+    ``select`` acquires leases (breaking stale ones), ``wait`` is one
+    bounded poll over deferred conditions.
 
     ``claim_chunk`` bounds how many leases one ``select`` pass takes, so
     a fast worker cannot lock the whole remaining grid the moment it
@@ -335,14 +321,12 @@ class ClaimQueue:
     """
 
     def __init__(self, campaign: Campaign, leases: LeaseManager,
-                 partial: Optional["PartialAggregator"] = None,
                  claim_chunk: Optional[int] = None):
         if claim_chunk is not None and claim_chunk < 1:
             raise ValueError(
                 f"claim_chunk must be at least 1, got {claim_chunk}")
         self._campaign = campaign
         self._leases = leases
-        self._partial = partial
         self.claim_chunk = claim_chunk
         # Incremental tail over the append-only manifest: fingerprints
         # peers have *committed* (recording stored AND manifest line
@@ -446,15 +430,18 @@ class ClaimQueue:
                 if not self._leases.acquire(fingerprint):
                     deferred.append(condition)
                     continue
+            if self.committed(fingerprint):
+                # A peer appended and released between the read above
+                # and our acquire. Peers always append before releasing,
+                # so one re-read while *holding* the lease decides.
+                self._leases.release(fingerprint)
+                deferred.append(condition)
+                continue
             mine.append(condition)
         return mine, deferred
 
     def release(self, condition: Condition) -> None:
         self._leases.release(condition.fingerprint())
-
-    def recorded(self, condition: Condition, summary=None) -> None:
-        if self._partial is not None:
-            self._partial.add(condition, summary)
 
     def _partition(
         self, deferred: Sequence[Condition],
@@ -502,66 +489,6 @@ class ClaimQueue:
             return settled, reclaimed, still
         time.sleep(self._leases.config.poll_s)
         return self._partition(deferred)
-
-
-class PartialAggregator:
-    """This worker's shard of the grid report, flushed to ``partials/``.
-
-    Accumulates the per-run samples of every condition the worker
-    simulated into a :class:`GridReport` and atomically rewrites
-    ``partials/<worker>.json`` every ``flush_every`` additions (and on
-    :meth:`close`). The file carries the covered fingerprints and the
-    ``sim_behaviour`` stamp so :func:`merge_partial_reports` can combine
-    shards exactly and refuse stale ones.
-    """
-
-    def __init__(self, campaign: Campaign, worker_id: str,
-                 report: Optional[GridReport] = None,
-                 flush_every: int = 10):
-        self._campaign = campaign
-        self.worker_id = sanitize_worker_id(worker_id)
-        worker_id = self.worker_id
-        self.report = report if report is not None else GridReport()
-        self.flush_every = max(1, flush_every)
-        self.fingerprints: List[str] = []
-        self._unflushed = 0
-        self.path = campaign.campaign_dir / PARTIALS_DIRNAME / \
-            f"{worker_id}.json"
-
-    def add(self, condition: Condition, summary=None) -> None:
-        if summary is None:  # caller didn't have the recording in hand
-            summary = self._campaign.cache.load(condition.label,
-                                                condition.fingerprint())
-        if summary is None:
-            return
-        self.report.add(condition.key, summary)
-        self.fingerprints.append(condition.fingerprint())
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        self._unflushed = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(seal_record({
-            "worker": self.worker_id,
-            "sim_behaviour": harness.SIM_BEHAVIOUR_VERSION,
-            "campaign_fingerprint": self._campaign.spec.fingerprint(),
-            "fingerprints": self.fingerprints,
-            "report": self.report.to_state(),
-            # simlint: allow[no-wallclock] -- partial-aggregate provenance stamp for humans, not simulation input
-            "at": time.time(),
-        }), indent=1)
-        tmp = self.path.with_name(
-            # simlint: allow[no-ambient-rng] -- per-writer unique temp name for the atomic replace; never feeds simulation bytes
-            f".{self.path.name}.{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(payload)
-        os.replace(tmp, self.path)
-
-    def close(self) -> None:
-        """Final flush — but only if this worker recorded anything."""
-        if self.fingerprints:
-            self.flush()
 
 
 def join_campaign(
@@ -616,8 +543,6 @@ def run_worker(
     campaign: Campaign,
     worker_id: Optional[str] = None,
     lease: Optional[LeaseConfig] = None,
-    report: Optional[GridReport] = None,
-    flush_every: int = 10,
     claim_chunk: Optional[int] = None,
     processes: Optional[int] = None,
     batch_size: Optional[int] = None,
@@ -632,8 +557,7 @@ def run_worker(
     ``claim_chunk`` at a time (default: two rounds of its own pool), so
     late joiners still find work — simulates them on its own process
     pool (``processes`` / ``batch_size`` as in :meth:`Campaign.run`),
-    appends manifest lines stamped with its worker id, and flushes its
-    partial aggregate to ``partials/<worker_id>.json``. Returns this
+    and appends manifest lines stamped with its worker id. Returns this
     worker's view of the run: conditions it simulated plus ``shared``
     results other workers recorded while it waited.
 
@@ -655,10 +579,7 @@ def run_worker(
             else max(1, (os.cpu_count() or 2) - 1)
         claim_chunk = 2 * max(1, pool)
     leases = LeaseManager(campaign.campaign_dir, worker_id, lease)
-    partial = PartialAggregator(campaign, worker_id, report=report,
-                                flush_every=flush_every)
-    claims = ClaimQueue(campaign, leases, partial,
-                        claim_chunk=claim_chunk)
+    claims = ClaimQueue(campaign, leases, claim_chunk=claim_chunk)
     beat = _HeartbeatThread(leases)
     beat.start()
     try:
@@ -673,102 +594,5 @@ def run_worker(
         )
     finally:
         beat.stop()
-        partial.close()
         leases.release_all()
     return result
-
-
-def merge_partial_reports(
-    campaign_dir: Union[str, Path],
-    report: Optional[GridReport] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    check_behaviour: bool = True,
-) -> GridReport:
-    """Merge every worker's ``partials/<worker>.json`` into one report.
-
-    Shards merge through :meth:`GridReport.merge` (exact, order-safe
-    Chan et al. moment combination). Conditions no shard covers —
-    resumed/cached before the workers started, or simulated by a worker
-    that crashed before its final flush — are streamed from the
-    :class:`SummaryStore` so the merged report always covers the whole
-    recorded grid exactly once.
-
-    ``report`` fixes the expected pivot configuration (axes, metric,
-    confidence); shards written under a different configuration raise
-    ``ValueError`` rather than silently merging apples into oranges.
-
-    Degraded mode: a shard a crashed worker left torn (invalid JSON or
-    checksum mismatch) is skipped with a warning — its conditions are
-    topped up from the store like any uncovered condition. Conditions
-    the spec expects but *nothing* recorded (crashed before storing,
-    or quarantined as poisoned) are marked on the report via
-    :meth:`GridReport.mark_coverage`, so renders carry an explicit
-    DEGRADED note instead of silently presenting a partial grid.
-    """
-    campaign_dir = Path(campaign_dir)
-    store = SummaryStore.open(campaign_dir, cache_dir=cache_dir,
-                              check_behaviour=check_behaviour)
-    if report is None:
-        report = GridReport()
-    covered = set()
-    for path in store.partial_paths():
-        try:
-            state = store.load_partial_state(
-                path, check_behaviour=check_behaviour)
-        except (ValueError, OSError) as error:
-            if isinstance(error, StaleCampaignError):
-                raise  # wrong behaviour version is never survivable
-            # Torn shard from a crashed worker: its conditions are
-            # recovered exactly from the store below.
-            logger.warning("skipping unreadable partial %s: %s",
-                           path.name, error)
-            continue
-        shard = GridReport.from_state(state["report"])
-        if shard.config() != report.config():
-            raise ValueError(
-                f"partial {path.name} was aggregated with pivot config "
-                f"{shard.config()}, expected {report.config()}; re-run "
-                f"the workers with matching report flags or report "
-                f"directly from the summaries (drop --from-partials)")
-        fingerprints = set(state.get("fingerprints", ()))
-        if fingerprints & covered:
-            # Two shards claim the same condition (e.g. the cache was
-            # pruned and a later worker re-simulated what an earlier
-            # partial already aggregated). Merging both would count its
-            # samples twice, so the whole shard is skipped — every one
-            # of its conditions is topped up from the store below,
-            # which is exact.
-            continue
-        report.merge(shard)
-        covered |= fingerprints
-    # Only uncovered conditions pay a summary read — on a grid fully
-    # covered by shards this loop loads nothing, which is the whole
-    # point of --from-partials (O(workers), not O(grid), reads).
-    for key in store.keys():
-        if key.fingerprint in covered:
-            continue
-        summary = store.load(key)
-        if summary is not None:
-            report.add(key, summary)
-        covered.add(key.fingerprint)
-    # Coverage check against the spec: anything still missing has no
-    # recording at all — mark it so the render says so.
-    spec_path = campaign_dir / "spec.json"
-    if spec_path.exists():
-        try:
-            spec = spec_from_json(json.loads(spec_path.read_text()))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            spec = None
-        if spec is not None:
-            conditions = spec.conditions()
-            expected = {condition.fingerprint(): condition.label
-                        for condition in conditions}
-            missing = sorted(
-                label for fingerprint, label in expected.items()
-                if fingerprint not in covered)
-            report.mark_coverage(len(expected), missing)
-            # Shard merge order follows worker timing; the render must
-            # not (a recovered chaos run has to be byte-identical to a
-            # fault-free one). Sweep order is the campaign's canon.
-            report.reorder([condition.key for condition in conditions])
-    return report

@@ -390,12 +390,6 @@ class Testbed:
     def cache_dir(self) -> Path:
         return self.cache.directory
 
-    # Backwards-compatible alias (pre-campaign code accessed the private
-    # attribute directly).
-    @property
-    def _cache_dir(self) -> Path:
-        return self.cache.directory
-
     # -- cache plumbing ------------------------------------------------------
 
     def _fingerprint(self, website: str, profile: NetworkProfile,

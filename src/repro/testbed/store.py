@@ -4,9 +4,7 @@
 the analysis layer: it iterates ``(ConditionKey, RecordingSummary)``
 pairs straight off the campaign manifest and the content-addressed
 recording cache, one summary in memory at a time, instead of
-materialising the whole grid the way the deprecated
-``Campaign.summaries()`` does — new callers want
-``Campaign.iter_summaries()`` / ``Campaign.summary_store()``.
+materialising the whole grid.
 
 Two ways to build one:
 
@@ -20,6 +18,10 @@ Two ways to build one:
 Either way iteration is lazy: nothing is loaded until the pair is
 yielded, and nothing yielded is retained, so per-axis aggregation over
 an N-condition grid needs O(axes) memory, not O(N).
+
+:func:`campaign_report` is the one way a campaign directory becomes a
+:class:`~repro.analysis.streaming.GridReport`: every CLI report, live
+or post-hoc, single-host or distributed, goes through it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import (
     Union,
 )
 
+from repro.analysis.streaming import GridReport
 from repro.testbed import faults, harness
 from repro.testbed.harness import RecordingCache, RecordingSummary
 
@@ -65,10 +68,6 @@ CONDITION_AXES = ("website", "network", "stack", "seed", "path",
 #: Campaign-directory subdirectory holding per-condition lease files
 #: (the distributed claim protocol — see ``repro.testbed.distributed``).
 CLAIMS_DIRNAME = "claims"
-
-#: Campaign-directory subdirectory holding per-worker partial
-#: aggregates (``<worker>.json``, serialized ``GridReport`` state).
-PARTIALS_DIRNAME = "partials"
 
 #: Campaign-directory subdirectory holding per-worker *study* partials
 #: (``<worker>.json``, serialized ``repro.study.pipeline.StudyPartial``
@@ -97,8 +96,8 @@ _SEED_SUFFIX = re.compile(r"_s(\d+)$")
 
 # -- crash-safe record I/O ---------------------------------------------------
 #
-# Everything a campaign writes incrementally (manifest lines, partial
-# aggregates) goes through these helpers: writers stamp a CRC over the
+# Everything a campaign writes incrementally (manifest lines, study
+# partials) goes through these helpers: writers stamp a CRC over the
 # record's canonical JSON, readers verify it and *skip-and-log* torn or
 # corrupt data instead of raising — a killed writer degrades the record,
 # never the readers. Records written before the CRC existed carry no
@@ -393,55 +392,6 @@ class SummaryStore:
                 return int(record["sim_behaviour"])
         return None
 
-    # -- distributed partial aggregates --------------------------------------
-
-    def partial_paths(self) -> List[Path]:
-        """Per-worker partial aggregate files, sorted by worker id.
-
-        Workers in a distributed run flush
-        ``partials/<worker>.json`` shards (see
-        ``repro.testbed.distributed``); an empty list means the
-        campaign ran single-host or no worker flushed yet.
-        """
-        if self.campaign_dir is None:
-            return []
-        partials = self.campaign_dir / PARTIALS_DIRNAME
-        if not partials.is_dir():
-            return []
-        return sorted(path for path in partials.glob("*.json")
-                      if not path.name.startswith("."))
-
-    def load_partial_state(self, path: Path,
-                           check_behaviour: bool = True) \
-            -> Dict[str, object]:
-        """Parse one partial aggregate, checking its behaviour stamp.
-
-        Raises :class:`StaleCampaignError` when the shard was recorded
-        under a different ``SIM_BEHAVIOUR_VERSION`` than the running
-        simulator (unless ``check_behaviour=False``), and
-        ``ValueError`` when the shard is torn (invalid JSON from a
-        crashed flush) or fails its checksum — callers that merge
-        shards catch that, log, and fall back to the summaries.
-        """
-        try:
-            state = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as error:
-            raise ValueError(
-                f"partial aggregate {path} is torn (invalid JSON: "
-                f"{error}); its worker crashed mid-flush") from None
-        if not isinstance(state, dict) or not record_intact(state):
-            raise ValueError(
-                f"partial aggregate {path} failed its checksum; "
-                f"skipping the corrupt shard")
-        recorded = state.get("sim_behaviour")
-        if check_behaviour and recorded is not None and \
-                int(recorded) != harness.SIM_BEHAVIOUR_VERSION:
-            raise StaleCampaignError(
-                f"partial aggregate {path} was recorded under "
-                f"SIM_BEHAVIOUR_VERSION={recorded}, but the current "
-                f"simulator is version {harness.SIM_BEHAVIOUR_VERSION}")
-        return state
-
     def study_partial_paths(self) -> List[Path]:
         """Per-worker study-pipeline partials, sorted by worker id.
 
@@ -502,3 +452,67 @@ class SummaryStore:
 
     def __len__(self) -> int:
         return len(self.keys())
+
+
+def campaign_report(
+    campaign_dir: Union[str, Path],
+    report: GridReport,
+    cache_dir: Optional[Union[str, Path]] = None,
+    check_behaviour: bool = True,
+) -> GridReport:
+    """Stream a campaign directory's recorded summaries into ``report``.
+
+    Every recorded condition is added once (its latest manifest line).
+    When the directory's ``spec.json`` rebuilds, summaries stream in
+    the spec's sweep order, conditions the spec expects but no
+    recording covers (failed, quarantined, pruned) are marked with
+    :meth:`GridReport.mark_coverage`, and :meth:`GridReport.reorder`
+    pins rows and columns — and so the default Welch baseline column —
+    to the spec's order even when some are missing. The report then
+    depends only on what was recorded, never on which worker finished
+    first: a live report equals the post-hoc one, and a recovered chaos
+    run equals a fault-free one.
+
+    Raises :class:`StaleCampaignError` like :meth:`SummaryStore.open`,
+    and :class:`FileNotFoundError` when the manifest lists recorded
+    conditions but the cache holds none of them (wrong or pruned cache
+    directory); a partly pruned cache logs a warning instead.
+    """
+    # campaign imports this module, so its spec parser is imported late.
+    from repro.testbed.campaign import spec_from_json
+
+    store = SummaryStore.open(campaign_dir, cache_dir=cache_dir,
+                              check_behaviour=check_behaviour)
+    try:
+        conditions = spec_from_json(json.loads(
+            (store.campaign_dir / "spec.json").read_text())).conditions()
+    except (OSError, ValueError, KeyError, TypeError):
+        conditions = []  # no usable spec: manifest order, no coverage
+    expected = {condition.fingerprint(): condition.label
+                for condition in conditions}
+    rank = {fingerprint: index
+            for index, fingerprint in enumerate(expected)}
+    covered = set()
+    for key in sorted(store.keys(),
+                      key=lambda key: rank.get(key.fingerprint, len(rank))):
+        summary = store.load(key)
+        if summary is not None:
+            report.add(key, summary)
+            covered.add(key.fingerprint)
+    listed = store.recorded_count()
+    if listed and not covered:
+        raise FileNotFoundError(
+            f"manifest lists {listed} recorded conditions but none were "
+            f"found in the cache ({store.cache.directory}) — wrong or "
+            f"pruned cache directory?")
+    if len(covered) < listed:
+        logger.warning(
+            "%d of %d recorded conditions missing from the cache (%s); "
+            "the report covers the remaining %d", listed - len(covered),
+            listed, store.cache.directory, len(covered))
+    if not expected:
+        return report
+    report.mark_coverage(len(expected), [
+        label for fingerprint, label in expected.items()
+        if fingerprint not in covered])
+    return report.reorder(condition.key for condition in conditions)

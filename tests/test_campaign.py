@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
@@ -53,6 +54,15 @@ class TestSpec:
         changed = dict(SMALL, networks=[with_loss(DSL, 0.01)])
         assert base.fingerprint() != CampaignSpec(**changed).fingerprint()
 
+    def test_cached_fingerprint_leaves_pickle_and_equality_alone(self):
+        condition = CampaignSpec(**SMALL).conditions()[0]
+        before = pickle.dumps(condition)
+        fingerprint = condition.fingerprint()
+        assert pickle.dumps(condition) == before
+        clone = pickle.loads(before)
+        assert clone == condition and hash(clone) == hash(condition)
+        assert clone.fingerprint() == fingerprint
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CampaignSpec(runs=0)
@@ -62,19 +72,21 @@ class TestSpec:
 
 class TestRunAndResume:
     def test_inline_matches_sequential_sweep_bytes(self, tmp_path):
-        spec = CampaignSpec(name="eq", **SMALL)
-        campaign = Campaign(spec, cache_dir=tmp_path / "camp")
-        result = campaign.run(processes=1)
-        assert result.ok and result.counts == {"simulated": 2}
-
+        """Inline and pooled campaigns store the sequential bytes."""
         bed = Testbed(runs=2, seed=5, cache_dir=str(tmp_path / "seq"))
         bed.sweep(sites=["gov.uk"], networks=["DSL"],
                   stacks=["TCP", "QUIC"])
         seq = sorted((tmp_path / "seq").glob("*.json"))
-        camp = sorted((tmp_path / "camp").glob("*.json"))
-        assert [p.name for p in seq] == [p.name for p in camp]
-        for a, b in zip(seq, camp):
-            assert a.read_bytes() == b.read_bytes()
+        spec = CampaignSpec(name="eq", **SMALL)
+        for processes in (1, 2):
+            cache = tmp_path / f"camp{processes}"
+            result = Campaign(spec, cache_dir=cache).run(
+                processes=processes)
+            assert result.ok and result.counts == {"simulated": 2}
+            camp = sorted(cache.glob("*.json"))
+            assert [p.name for p in seq] == [p.name for p in camp]
+            for a, b in zip(seq, camp):
+                assert a.read_bytes() == b.read_bytes()
 
     def test_resume_skips_finished_conditions(self, tmp_path, monkeypatch):
         spec = CampaignSpec(name="resume", **SMALL)

@@ -4,7 +4,7 @@ The convergence invariant from the failure model: whatever a
 deterministic fault plan does to the fleet — kills, torn manifest
 lines, frozen heartbeats, lease contention — a supervised campaign
 with enough retry budget completes the full grid with zero duplicate
-manifest entries, and its merged report renders byte-identically to a
+manifest entries, and its report renders byte-identically to a
 fault-free single-worker run. Runs only with ``REPRO_RUN_SLOW=1``
 (see ``conftest.py``); the quick per-fault smokes live in
 ``test_faults.py``.
@@ -15,16 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.streaming import GridReport
 from repro.report import render_grid
 from repro.testbed import faults
 from repro.testbed import supervisor as supervisor_module
 from repro.testbed.campaign import Campaign, CampaignSpec
-from repro.testbed.distributed import (
-    LeaseConfig,
-    LeaseManager,
-    merge_partial_reports,
-)
-from repro.testbed.store import read_jsonl
+from repro.testbed.distributed import LeaseConfig, LeaseManager
+from repro.testbed.store import campaign_report, read_jsonl
 from repro.testbed.supervisor import Supervisor
 
 pytestmark = pytest.mark.slow
@@ -67,8 +64,8 @@ def reference_render(tmp_path_factory):
     cache = tmp_path_factory.mktemp("chaos-reference")
     campaign = Campaign(_spec("chaos"), cache_dir=cache)
     assert campaign.run(processes=1).ok
-    return render_grid(merge_partial_reports(campaign.campaign_dir,
-                                             cache_dir=cache))
+    return render_grid(campaign_report(campaign.campaign_dir,
+                                       GridReport()))
 
 
 class TestChaosMatrix:
@@ -85,7 +82,7 @@ class TestChaosMatrix:
             lease=FAST,
             retry_budget=10,  # generous: nothing here may quarantine
             backoff_base=0.05,
-            run_kwargs=dict(processes=1, claim_chunk=1, flush_every=1),
+            run_kwargs=dict(processes=1, claim_chunk=1),
         ).run()
         assert outcome.quarantined == []
         assert outcome.gave_up == []
@@ -94,10 +91,9 @@ class TestChaosMatrix:
         assert len(fingerprints) == len(set(fingerprints)) == 4
         assert not list((campaign.campaign_dir / "claims")
                         .glob("*.lease"))
-        merged = merge_partial_reports(campaign.campaign_dir,
-                                       cache_dir=tmp_path)
-        assert not merged.degraded
-        assert render_grid(merged) == reference_render
+        report = campaign_report(campaign.campaign_dir, GridReport())
+        assert not report.degraded
+        assert render_grid(report) == reference_render
 
 
 def _hang_if_w0(campaign_dir, cache_dir, worker_id, plan_text,
@@ -134,7 +130,7 @@ class TestStallKill:
             cache_dir=tmp_path,
             lease=lease,
             backoff_base=0.05,
-            run_kwargs=dict(processes=1, claim_chunk=1, flush_every=1),
+            run_kwargs=dict(processes=1, claim_chunk=1),
         ).run()
         assert outcome.stalls == 1
         stalled = [e for e in outcome.exits if e.stalled]
@@ -145,6 +141,5 @@ class TestStallKill:
         assert outcome.ok, outcome.describe()
         fingerprints = _fingerprints(campaign)
         assert len(fingerprints) == len(set(fingerprints)) == 4
-        merged = merge_partial_reports(campaign.campaign_dir,
-                                       cache_dir=tmp_path)
-        assert render_grid(merged) == reference_render
+        report = campaign_report(campaign.campaign_dir, GridReport())
+        assert render_grid(report) == reference_render

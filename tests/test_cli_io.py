@@ -128,6 +128,34 @@ class TestCli:
         assert "DSL" in out and "±" in out
         assert "conditions/s" not in out  # nothing was run
 
+    def test_campaign_reports_follow_spec_not_completion_order(
+            self, tmp_path, capsys):
+        """Live and post-hoc reports are one path over the campaign
+        directory: byte-identical JSON from a process pool, and still
+        after the manifest lines are reversed, with the spec's first
+        stack as the Welch baseline."""
+        assert main(["campaign", "--sites", "gov.uk", "--networks", "DSL",
+                     "--stacks", "TCP", "QUIC", "--seeds", "0", "1",
+                     "--runs", "1", "--processes", "2", "--batch-size",
+                     "1", "--quiet", "--cache-dir", str(tmp_path),
+                     "--name", "order", "--report", "--format",
+                     "json"]) == 0
+        captured = capsys.readouterr()
+        live = captured.out
+        manifest = Path(next(
+            l.split("manifest: ", 1)[1]
+            for l in captured.err.splitlines() if "manifest: " in l))
+        posthoc = ["campaign", "--campaign-dir", str(manifest.parent),
+                   "--cache-dir", str(tmp_path), "--report", "--format",
+                   "json"]
+        assert main(posthoc) == 0
+        assert capsys.readouterr().out == live
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(reversed(lines)) + "\n")
+        assert main(posthoc) == 0
+        assert capsys.readouterr().out == live
+        assert json.loads(live)["baseline"] == "TCP"
+
     def test_campaign_report_refuses_stale_dir(self, tmp_path, capsys,
                                                monkeypatch):
         """A dir recorded under an older behaviour version errors

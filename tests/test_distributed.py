@@ -2,7 +2,7 @@
 
 The acceptance path for multi-host scale-out: cooperative workers
 sharing one campaign directory must never simulate a condition twice,
-their merged partial aggregates must reproduce the single-worker
+the report over their shared directory must reproduce the single-worker
 report, and a crashed worker's stale lease must be reclaimed.
 """
 
@@ -27,13 +27,11 @@ from repro.testbed.distributed import (
     ClaimQueue,
     LeaseConfig,
     LeaseManager,
-    PartialAggregator,
     default_worker_id,
     join_campaign,
-    merge_partial_reports,
     run_worker,
 )
-from repro.testbed.store import StaleCampaignError, SummaryStore
+from repro.testbed.store import StaleCampaignError, campaign_report
 
 GRID = dict(sites=["gov.uk"], networks=["DSL"], stacks=["TCP", "QUIC"],
             seeds=[5, 6], runs=2)
@@ -44,25 +42,6 @@ FAST = LeaseConfig(ttl_s=30.0, heartbeat_s=5.0, poll_s=0.05)
 
 def _spec(name="dist"):
     return CampaignSpec(name=name, **GRID)
-
-
-def _assert_json_close(left, right, rel=1e-9):
-    """Structural equality with float tolerance: merging shards may
-    reorder floating-point additions (Chan vs Welford), so moments can
-    differ in the last ulp while everything else matches exactly."""
-    assert type(left) is type(right), (left, right)
-    if isinstance(left, dict):
-        assert left.keys() == right.keys()
-        for key in left:
-            _assert_json_close(left[key], right[key], rel)
-    elif isinstance(left, list):
-        assert len(left) == len(right)
-        for a, b in zip(left, right):
-            _assert_json_close(a, b, rel)
-    elif isinstance(left, float):
-        assert left == pytest.approx(right, rel=rel)
-    else:
-        assert left == right
 
 
 class TestLeaseManager:
@@ -132,6 +111,25 @@ class TestLeaseManager:
         assert alice.is_stale("fp")
         alice.heartbeat()
         assert not alice.is_stale("fp")
+
+    def test_heartbeat_thread_survives_fork(self, tmp_path, capfd):
+        """A worker's pool forks while its heartbeat thread runs; the
+        thread must not break the child's after-fork cleanup."""
+        import multiprocessing
+
+        from repro.testbed.distributed import _HeartbeatThread
+
+        beat = _HeartbeatThread(LeaseManager(tmp_path, "w", FAST))
+        beat.start()
+        try:
+            child = multiprocessing.get_context("fork").Process(target=int)
+            child.start()
+            child.join(timeout=30)
+        finally:
+            beat.stop()
+            beat.join(timeout=30)
+        assert child.exitcode == 0 and not beat.is_alive()
+        assert "Exception ignored" not in capfd.readouterr().err
 
     def test_lease_config_validation(self):
         with pytest.raises(ValueError):
@@ -215,8 +213,8 @@ class TestJoin:
         assert str(os.getpid()) in default_worker_id()
 
     def test_worker_ids_sanitized_for_filesystem_use(self, tmp_path):
-        """Ids become path components (lease tombstones, partial
-        files); a '/' must not break reclaim or hide partials."""
+        """Ids become path components (lease tombstones); a '/' must
+        not break reclaim."""
         from repro.testbed.distributed import sanitize_worker_id
 
         assert sanitize_worker_id("team/a b") == "team-a-b"
@@ -252,7 +250,7 @@ class TestTwoJoiners:
             campaign = Campaign(_spec(), cache_dir=shared_cache)
             results[worker_id] = run_worker(
                 campaign, worker_id=worker_id, lease=FAST,
-                processes=1, flush_every=1, claim_chunk=1)
+                processes=1, claim_chunk=1)
 
         threads = [threading.Thread(target=work, args=(wid,))
                    for wid in ("w1", "w2")]
@@ -266,6 +264,7 @@ class TestTwoJoiners:
                     reference=reference)
 
     def test_both_workers_finish_ok(self, shared_run):
+        assert set(shared_run["results"]) == {"w1", "w2"}
         for result in shared_run["results"].values():
             assert result.ok
             assert len(result.results) == 4
@@ -303,64 +302,20 @@ class TestTwoJoiners:
                 (shared_dir / name).read_bytes()
 
     def test_merged_report_identical_to_single_worker(self, shared_run):
-        """Partial shards + merge == one sequential worker's report."""
-        merged = merge_partial_reports(
-            shared_run["campaign"].campaign_dir)
+        """The shared directory's report == one sequential worker's,
+        down to the last float: both stream in the spec's order."""
+        merged = campaign_report(shared_run["campaign"].campaign_dir,
+                                 GridReport())
         reference = shared_run["reference_report"]
+        assert not merged.degraded
         assert render_grid(merged) == render_grid(reference)
-        _assert_json_close(merged.to_json(), reference.to_json())
-
-    def test_posthoc_from_partials_matches_summary_stream(self,
-                                                          shared_run):
-        campaign_dir = shared_run["campaign"].campaign_dir
-        store = SummaryStore.open(
-            campaign_dir, cache_dir=shared_run["campaign"].cache.directory)
-        streamed = GridReport().consume(store)
-        merged = merge_partial_reports(
-            campaign_dir, cache_dir=shared_run["campaign"].cache.directory)
-        assert render_grid(merged) == render_grid(streamed)
+        assert merged.to_json() == reference.to_json()
 
     def test_no_claims_left_behind(self, shared_run):
         claims = shared_run["campaign"].campaign_dir / "claims"
         assert not list(claims.glob("*.lease"))
-
-    def test_partials_cover_grid_disjointly(self, shared_run):
-        store = SummaryStore.open(
-            shared_run["campaign"].campaign_dir,
-            cache_dir=shared_run["campaign"].cache.directory)
-        covered = []
-        for path in store.partial_paths():
-            covered.extend(store.load_partial_state(path)["fingerprints"])
-        assert len(covered) == len(set(covered)) == 4
-
-    def test_mismatched_partial_config_rejected(self, shared_run):
-        with pytest.raises(ValueError, match="pivot config"):
-            merge_partial_reports(
-                shared_run["campaign"].campaign_dir,
-                report=GridReport(rows=("website",), cols="stack"),
-                cache_dir=shared_run["campaign"].cache.directory)
-
-    def test_overlapping_shards_never_double_count(self, shared_run,
-                                                   tmp_path):
-        """A condition covered by two shards (cache pruned and
-        re-simulated, frozen worker resumed after reclaim, ...) must
-        contribute its samples exactly once to the merged report."""
-        import shutil
-
-        source = shared_run["campaign"].campaign_dir
-        clone = tmp_path / "overlap"
-        shutil.copytree(source, clone)
-        # Duplicate one worker's shard under another worker id: every
-        # one of its fingerprints is now claimed by two partials.
-        partials = sorted((clone / "partials").glob("*.json"))
-        duplicate = json.loads(partials[0].read_text())
-        duplicate["worker"] = "impostor"
-        (clone / "partials" / "impostor.json").write_text(
-            json.dumps(duplicate))
-        merged = merge_partial_reports(
-            clone, cache_dir=shared_run["campaign"].cache.directory)
-        assert render_grid(merged) == \
-            render_grid(shared_run["reference_report"])
+        assert not (shared_run["campaign"].campaign_dir
+                    / "partials").exists()
 
 
 class TestStaleReclaim:
@@ -506,68 +461,47 @@ class TestAdoption:
             (seeder.campaign_dir / "claims").glob("*.lease"))
 
 
-class TestPartialAggregator:
-    def test_flush_writes_behaviour_stamp_and_fingerprints(
-            self, tmp_path):
-        spec = _spec("partial")
-        campaign = Campaign(spec, cache_dir=tmp_path)
-        result = run_worker(campaign, worker_id="solo", lease=FAST,
-                            processes=1, flush_every=1)
-        assert result.ok
-        partial_path = campaign.campaign_dir / "partials" / "solo.json"
-        state = json.loads(partial_path.read_text())
-        assert state["worker"] == "solo"
-        assert state["sim_behaviour"] == harness_mod.SIM_BEHAVIOUR_VERSION
-        assert len(state["fingerprints"]) == 4
-        shard = GridReport.from_state(state["report"])
-        assert not shard.is_empty
-
-    def test_stale_partial_rejected(self, tmp_path, monkeypatch):
-        spec = _spec("stale-partial")
-        campaign = Campaign(spec, cache_dir=tmp_path)
-        run_worker(campaign, worker_id="solo", lease=FAST, processes=1)
-        store = SummaryStore.open(campaign.campaign_dir,
-                                  cache_dir=tmp_path)
-        paths = store.partial_paths()
-        assert len(paths) == 1
-        monkeypatch.setattr(harness_mod, "SIM_BEHAVIOUR_VERSION",
-                            harness_mod.SIM_BEHAVIOUR_VERSION + 1)
-        with pytest.raises(StaleCampaignError):
-            store.load_partial_state(paths[0])
-        # Historical inspection remains possible on request.
-        assert store.load_partial_state(
-            paths[0], check_behaviour=False)["worker"] == "solo"
-
-    def test_worker_without_recordings_writes_no_partial(self, tmp_path):
-        spec = _spec("nothing-to-do")
-        Campaign(spec, cache_dir=tmp_path).run(processes=1)
-        late = Campaign(spec, cache_dir=tmp_path)
-        result = run_worker(late, worker_id="late", lease=FAST,
-                            processes=1)
-        assert result.counts == {"resumed": 4}
-        assert not (late.campaign_dir / "partials" / "late.json").exists()
-        # merge still reports the whole grid from the summaries.
-        merged = merge_partial_reports(late.campaign_dir,
-                                       cache_dir=tmp_path)
-        assert not merged.is_empty
-
+class TestClaimQueue:
     def test_claim_chunk_validation(self, tmp_path):
         campaign = Campaign(_spec("chunk"), cache_dir=tmp_path)
         leases = LeaseManager(campaign.campaign_dir, "w", FAST)
         with pytest.raises(ValueError, match="claim_chunk"):
             ClaimQueue(campaign, leases, claim_chunk=0)
 
-    def test_partial_aggregator_skips_unrecorded(self, tmp_path):
-        campaign = Campaign(_spec("skip-unrecorded"), cache_dir=tmp_path)
-        aggregator = PartialAggregator(campaign, "w", flush_every=1)
-        aggregator.add(campaign.spec.conditions()[0])  # nothing cached
-        assert aggregator.fingerprints == []
-        aggregator.close()
-        assert not aggregator.path.exists()
+    def test_worker_hashes_each_condition_once(self, tmp_path,
+                                               monkeypatch):
+        """Claim passes reuse each condition's fingerprint instead of
+        re-hashing every pending and deferred condition per pass."""
+        import repro.testbed.campaign as campaign_mod
+
+        spec = CampaignSpec(name="hash-count", sites=["gov.uk"],
+                            stacks=["TCP"], seeds=list(range(30)), runs=1)
+        conditions = spec.conditions()
+        assert len(conditions) == 120
+        # Every condition stores one canned recording: the test counts
+        # bookkeeping, not simulation.
+        canned = conditions[0].produce()
+        monkeypatch.setattr(campaign_mod, "produce_summary",
+                            lambda *args, **kwargs: canned)
+        real = campaign_mod.condition_fingerprint
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "condition_fingerprint",
+                            counting)
+        campaign = Campaign(spec, cache_dir=tmp_path)
+        calls.clear()
+        result = run_worker(campaign, worker_id="solo", lease=FAST,
+                            processes=1)
+        assert result.counts == {"simulated": 120}
+        assert len(calls) <= 3 * len(conditions)
 
 
 class TestDistributedCli:
-    def test_cli_workers_join_and_partial_report(self, tmp_path, capsys):
+    def test_cli_workers_join_and_posthoc_report(self, tmp_path, capsys):
         from repro.cli import main
 
         cache = str(tmp_path / "cache")
@@ -587,9 +521,11 @@ class TestDistributedCli:
         out = capsys.readouterr().out
         assert "2 resumed" in out
 
-        # Post-hoc report merged from the worker partials.
+        # Workers leave no report state behind; the post-hoc report
+        # streams the shared directory.
+        assert not (campaigns[0] / "partials").exists()
         assert main(["campaign", "--campaign-dir", campaign_dir,
-                     "--cache-dir", cache, "--from-partials"]) == 0
+                     "--cache-dir", cache, "--report"]) == 0
         out = capsys.readouterr().out
         assert "TCP" in out and "QUIC" in out and "±" in out
 
@@ -723,3 +659,43 @@ class TestAdoptionRace:
         fingerprints = [line["fingerprint"] for line in lines]
         assert len(fingerprints) == len(set(fingerprints)) == 4
         assert {line["status"] for line in lines} == {"cached"}
+
+
+class TestClaimRace:
+    """Regression: a peer that appended its manifest line and released
+    its lease between a worker's manifest read and its acquire left the
+    lease free, so the worker won it and appended a second line for the
+    same condition. ``select`` now re-reads while holding the lease."""
+
+    def test_peer_commit_between_read_and_acquire_is_not_duplicated(
+            self, tmp_path):
+        spec = _spec("claim-race")
+        peer = Campaign(spec, cache_dir=tmp_path, worker="peer")
+        peer.write_spec()
+        conditions = {c.fingerprint(): c for c in spec.conditions()}
+        committed = []
+
+        def peer_commits(fingerprint, **_):
+            # Deterministic interleaving: the peer stores, appends and
+            # releases just before our lease is published.
+            if fingerprint in conditions and fingerprint not in committed:
+                committed.append(fingerprint)
+                condition = conditions[fingerprint]
+                peer.cache.store(condition.label, fingerprint,
+                                 condition.produce())
+                peer._append_manifest(
+                    ConditionResult(condition, "simulated"))
+
+        faults.install(faults.FaultPlan(), hooks={"acquire": peer_commits})
+        try:
+            result = run_worker(Campaign(spec, cache_dir=tmp_path),
+                                worker_id="racer", lease=FAST, processes=1)
+        finally:
+            faults.uninstall()
+
+        assert result.ok
+        assert result.counts == {"shared": 4}
+        lines = [json.loads(line) for line in open(peer.manifest_path)]
+        fingerprints = [line["fingerprint"] for line in lines]
+        assert len(fingerprints) == len(set(fingerprints)) == 4
+        assert {line["worker"] for line in lines} == {"peer"}

@@ -61,13 +61,6 @@ class TestLiveStore:
                      for c, s in finished_campaign.iter_summaries()}
         assert from_store == from_iter
 
-    def test_summaries_deprecated_but_equivalent(self, finished_campaign):
-        with pytest.warns(DeprecationWarning):
-            batch = finished_campaign.summaries()
-        streamed = [s for _, s in finished_campaign.iter_summaries()]
-        assert [s.to_json() for s in batch] == \
-            [s.to_json() for s in streamed]
-
     def test_iter_summaries_raises_on_unrecorded(self, tmp_path):
         campaign = Campaign(CampaignSpec(name="unrun", **GRID),
                             cache_dir=tmp_path)

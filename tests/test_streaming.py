@@ -1,7 +1,6 @@
 """Streaming accumulators: incremental + merge == batch statistics."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -310,20 +309,6 @@ class TestGridReport:
         assert quic.p_vs_baseline == pytest.approx(
             welch_ttest_p(raw_quic, raw_tcp), **APPROX)
 
-    def test_merge_matches_single_pass(self):
-        pairs = _synthetic_pairs()
-        whole = grid_report(pairs)
-        left = grid_report(pairs[:5])
-        right = grid_report(pairs[5:])
-        left.merge(right)
-        assert left.row_keys() == whole.row_keys()
-        assert left.columns() == whole.columns()
-        for row in whole.row_keys():
-            for col in whole.columns():
-                a, b = left.cell(row, col), whole.cell(row, col)
-                assert a.ci.n == b.ci.n
-                assert a.ci.mean == pytest.approx(b.ci.mean, **APPROX)
-
     def test_to_json_shape(self):
         report = grid_report(_synthetic_pairs())
         doc = json.loads(json.dumps(report.to_json()))
@@ -344,79 +329,6 @@ class TestGridReport:
         assert report.is_empty
         assert report.baseline_column() is None
         assert report.cell((), "TCP") is None
-
-
-class TestStateSerialization:
-    """State round-trips: the basis for per-worker partial aggregates
-    flushed to disk by distributed campaign workers."""
-
-    def test_grid_report_state_round_trip(self):
-        report = grid_report(_synthetic_pairs(), rows=("network", "seed"),
-                             cols="stack", metric="PLT", confidence=0.95)
-        rebuilt = GridReport.from_state(
-            json.loads(json.dumps(report.to_state())))
-        assert rebuilt.config() == report.config()
-        assert rebuilt.row_keys() == report.row_keys()
-        assert rebuilt.columns() == report.columns()
-        assert rebuilt.to_json() == report.to_json()
-
-    def test_rebuilt_report_keeps_accumulating(self):
-        pairs = _synthetic_pairs()
-        interrupted = grid_report(pairs[:7])
-        rebuilt = GridReport.from_state(
-            json.loads(json.dumps(interrupted.to_state())))
-        rebuilt.consume(pairs[7:])
-        whole = grid_report(pairs)
-        assert rebuilt.to_json() == whole.to_json()
-
-    def test_rebuilt_report_still_merges(self):
-        pairs = _synthetic_pairs()
-        left = grid_report(pairs[:5])
-        right = GridReport.from_state(
-            json.loads(json.dumps(grid_report(pairs[5:]).to_state())))
-        merged = left.merge(right)
-        whole = grid_report(pairs)
-        for row in whole.row_keys():
-            for col in whole.columns():
-                assert merged.cell(row, col).ci.mean == pytest.approx(
-                    whole.cell(row, col).ci.mean, **APPROX)
-
-    def test_state_preserves_int_vs_str_axis_values(self):
-        report = grid_report(_synthetic_pairs(), rows=("seed",),
-                             cols="stack")
-        rebuilt = GridReport.from_state(
-            json.loads(json.dumps(report.to_state())))
-        assert rebuilt.row_keys() == [(0,), (1,)]
-        assert all(isinstance(row[0], int)
-                   for row in rebuilt.row_keys())
-
-    def test_axis_accumulator_round_trip(self):
-        accumulator = AxisAccumulator(axes=("network", "stack"),
-                                      metric="SI")
-        accumulator.consume(_synthetic_pairs())
-        rebuilt = AxisAccumulator.from_json(
-            json.loads(json.dumps(accumulator.to_json())))
-        assert rebuilt.axes == accumulator.axes
-        assert rebuilt.metric == accumulator.metric
-        assert {g: m.to_json() for g, m in rebuilt.items()} == \
-            {g: m.to_json() for g, m in accumulator.items()}
-
-    def test_histogram_round_trip(self):
-        histogram = StreamingHistogram(bin_width=0.25)
-        histogram.add_many(_datasets()[2])
-        rebuilt = StreamingHistogram.from_json(
-            json.loads(json.dumps(histogram.to_json())))
-        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert rebuilt.quantile(q) == histogram.quantile(q)
-        rebuilt.merge(histogram)
-        assert rebuilt.count == 2 * histogram.count
-
-    def test_empty_histogram_round_trip(self):
-        rebuilt = StreamingHistogram.from_json(
-            json.loads(json.dumps(StreamingHistogram(0.1).to_json())))
-        assert rebuilt.count == 0
-        assert math.isinf(rebuilt.minimum)
-        assert math.isinf(rebuilt.maximum)
 
 
 class TestGridRendering:

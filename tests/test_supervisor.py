@@ -16,10 +16,8 @@ from repro.analysis.streaming import GridReport
 from repro.report import md_grid, render_grid
 from repro.testbed import faults
 from repro.testbed.campaign import Campaign, CampaignSpec
-from repro.testbed.distributed import (
-    LeaseConfig,
-    merge_partial_reports,
-)
+from repro.testbed.distributed import LeaseConfig
+from repro.testbed.store import campaign_report
 from repro.testbed.supervisor import (
     Supervisor,
     SupervisorReport,
@@ -49,8 +47,7 @@ def reference_render(tmp_path_factory):
     cache = tmp_path_factory.mktemp("reference")
     campaign = Campaign(_spec("ref"), cache_dir=cache)
     assert campaign.run(processes=1).ok
-    report = merge_partial_reports(campaign.campaign_dir,
-                                   cache_dir=cache)
+    report = campaign_report(campaign.campaign_dir, GridReport())
     assert not report.degraded
     return render_grid(report)
 
@@ -70,7 +67,7 @@ class TestKillAndRespawn:
             plan=faults.FaultPlan.parse("crash:w0@1"),
             lease=FAST,
             backoff_base=0.05,
-            run_kwargs=dict(processes=1, claim_chunk=1, flush_every=1),
+            run_kwargs=dict(processes=1, claim_chunk=1),
         )
         outcome = supervisor.run()
         return dict(campaign=campaign, outcome=outcome, cache=cache)
@@ -96,9 +93,8 @@ class TestKillAndRespawn:
 
     def test_merged_report_identical_to_fault_free(self, supervised,
                                                    reference_render):
-        merged = merge_partial_reports(
-            supervised["campaign"].campaign_dir,
-            cache_dir=supervised["cache"])
+        merged = campaign_report(supervised["campaign"].campaign_dir,
+                                 GridReport())
         assert not merged.degraded
         assert render_grid(merged) == reference_render
         assert "coverage" not in merged.to_json()
@@ -138,7 +134,7 @@ class TestQuarantine:
             lease=FAST,
             retry_budget=1,
             backoff_base=0.05,
-            run_kwargs=dict(processes=1, claim_chunk=1, flush_every=1),
+            run_kwargs=dict(processes=1, claim_chunk=1),
         )
         outcome = supervisor.run()
         return dict(campaign=campaign, outcome=outcome, cache=cache)
@@ -161,9 +157,8 @@ class TestQuarantine:
         assert len(fingerprints) == len(set(fingerprints)) == 4
 
     def test_merged_report_marks_degraded_coverage(self, poisoned):
-        merged = merge_partial_reports(
-            poisoned["campaign"].campaign_dir,
-            cache_dir=poisoned["cache"])
+        merged = campaign_report(poisoned["campaign"].campaign_dir,
+                                 GridReport())
         assert merged.degraded
         assert merged.expected == 4
         assert len(merged.missing) == 1
@@ -248,6 +243,24 @@ class TestStatusCli:
         assert status["conditions"]["done"] == 1
         assert status["quarantined"] == []
 
+    def test_cli_supervised_report_streams_in_spec_order(self, tmp_path,
+                                                         capsys):
+        """--supervise --report renders the shared directory directly:
+        no fallback warning, rows in the spec's site order."""
+        from repro.cli import main
+
+        assert main(["campaign", "--sites", "gov.uk", "apache.org",
+                     "--networks", "DSL", "--stacks", "TCP", "--runs",
+                     "1", "--supervise", "2", "--processes", "1",
+                     "--lease-poll", "0.05",
+                     "--cache-dir", str(tmp_path), "--name", "sup-report",
+                     "--report", "--pivot", "website,stack"]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err
+        rows = [line.split()[0] for line in captured.out.splitlines()
+                if line.startswith(("gov.uk", "apache.org"))]
+        assert rows == ["gov.uk", "apache.org"]
+
     def test_cli_supervise_conflicts_with_workers(self, tmp_path):
         from repro.cli import main
 
@@ -264,13 +277,11 @@ class TestStatusCli:
 
 
 class TestGridReportCoverage:
-    def test_mark_coverage_does_not_survive_state_round_trip(self):
+    def test_mark_coverage_sorts_missing_labels(self):
         report = GridReport()
         report.mark_coverage(4, ["b", "a"])
         assert report.missing == ["a", "b"]
-        rebuilt = GridReport.from_state(report.to_state())
-        assert not rebuilt.degraded
-        assert rebuilt.missing == []
+        assert report.degraded
 
     def test_complete_report_renders_without_footer(self):
         report = GridReport()
