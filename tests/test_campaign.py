@@ -70,23 +70,27 @@ class TestSpec:
             CampaignSpec(seeds=[])
 
 
+def _assert_campaign_matches_sequential_bytes(tmp_path, processes):
+    """A campaign run with ``processes`` stores the sequential bytes."""
+    bed = Testbed(runs=2, seed=5, cache_dir=str(tmp_path / "seq"))
+    bed.sweep(sites=["gov.uk"], networks=["DSL"], stacks=["TCP", "QUIC"])
+    seq = sorted((tmp_path / "seq").glob("*.json"))
+    spec = CampaignSpec(name="eq", **SMALL)
+    cache = tmp_path / "camp"
+    result = Campaign(spec, cache_dir=cache).run(processes=processes)
+    assert result.ok and result.counts == {"simulated": 2}
+    camp = sorted(cache.glob("*.json"))
+    assert [p.name for p in seq] == [p.name for p in camp]
+    for a, b in zip(seq, camp):
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestRunAndResume:
     def test_inline_matches_sequential_sweep_bytes(self, tmp_path):
-        """Inline and pooled campaigns store the sequential bytes."""
-        bed = Testbed(runs=2, seed=5, cache_dir=str(tmp_path / "seq"))
-        bed.sweep(sites=["gov.uk"], networks=["DSL"],
-                  stacks=["TCP", "QUIC"])
-        seq = sorted((tmp_path / "seq").glob("*.json"))
-        spec = CampaignSpec(name="eq", **SMALL)
-        for processes in (1, 2):
-            cache = tmp_path / f"camp{processes}"
-            result = Campaign(spec, cache_dir=cache).run(
-                processes=processes)
-            assert result.ok and result.counts == {"simulated": 2}
-            camp = sorted(cache.glob("*.json"))
-            assert [p.name for p in seq] == [p.name for p in camp]
-            for a, b in zip(seq, camp):
-                assert a.read_bytes() == b.read_bytes()
+        _assert_campaign_matches_sequential_bytes(tmp_path, processes=1)
+
+    def test_parallel_cache_bytes_match_sequential(self, tmp_path):
+        _assert_campaign_matches_sequential_bytes(tmp_path, processes=2)
 
     def test_resume_skips_finished_conditions(self, tmp_path, monkeypatch):
         spec = CampaignSpec(name="resume", **SMALL)
