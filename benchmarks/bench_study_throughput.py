@@ -4,10 +4,10 @@ Measures simulated participants/second for the microworker A/B and
 rating studies at a multiple of the paper's participant counts
 (``--scale``, default 10x: 4 870 A/B + 15 630 rating participants).
 
-* ``before`` — the per-participant scalar reference path
+* ``scalar`` — the per-participant scalar reference path
   (:mod:`repro.study.reference`) materializing sessions, then the R1-R7
   conformance filters — the shape of the pre-vectorization pipeline.
-* ``after`` — :func:`repro.study.pipeline.build_partial`: the block
+* ``vectorized`` — :func:`repro.study.pipeline.build_partial`: the block
   engines in aggregate mode (no event draws, no session objects),
   folding straight into mergeable funnel/vote/moment state.
 
@@ -59,7 +59,7 @@ def _participants(scale: float) -> tuple:
                                 GROUP))
 
 
-def bench_before(testbed, plan, scale: float) -> dict:
+def bench_scalar(testbed, plan, scale: float) -> dict:
     """Scalar reference runners + conformance filters."""
     n_ab, n_rating = _participants(scale)
     start = time.perf_counter()
@@ -75,7 +75,7 @@ def bench_before(testbed, plan, scale: float) -> dict:
             "participants_per_s": round(total / elapsed, 1)}
 
 
-def bench_after(index, plan, scale: float) -> dict:
+def bench_vectorized(index, plan, scale: float) -> dict:
     """Vectorized aggregate pipeline (one shard, whole population)."""
     n_ab, n_rating = _participants(scale)
     start = time.perf_counter()
@@ -94,17 +94,17 @@ def bench_study_throughput(scale: float) -> dict:
         plan = StudyPlan(sites=SITES)
         index = ConditionIndex.from_testbed(testbed, plan)
 
-        before = bench_before(testbed, plan, scale)
-        after = bench_after(index, plan, scale)
-    speedup = round(after["participants_per_s"] /
-                    before["participants_per_s"], 2)
-    print(f"  before (scalar sessions): {before['seconds']:7.2f}s "
-          f"({before['participants_per_s']:9.1f} participants/s)")
-    print(f"  after  (vector pipeline): {after['seconds']:7.2f}s "
-          f"({after['participants_per_s']:9.1f} participants/s)")
+        scalar = bench_scalar(testbed, plan, scale)
+        vectorized = bench_vectorized(index, plan, scale)
+    speedup = round(vectorized["participants_per_s"] /
+                    scalar["participants_per_s"], 2)
+    print(f"  scalar sessions: {scalar['seconds']:7.2f}s "
+          f"({scalar['participants_per_s']:9.1f} participants/s)")
+    print(f"  vector pipeline: {vectorized['seconds']:7.2f}s "
+          f"({vectorized['participants_per_s']:9.1f} participants/s)")
     print(f"  speedup: {speedup}x")
-    return {"scale": scale, "group": GROUP, "before": before,
-            "after": after, "speedup": speedup}
+    return {"scale": scale, "group": GROUP, "scalar": scalar,
+            "vectorized": vectorized, "speedup": speedup}
 
 
 def main(argv=None) -> int:

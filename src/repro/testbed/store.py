@@ -356,16 +356,17 @@ class SummaryStore:
     def keys(self) -> List[ConditionKey]:
         """Every recorded condition's key (no summaries loaded for
         manifests that carry axis fields)."""
+        return self.recorded_keys()[0]
+
+    def recorded_keys(self) -> Tuple[List[ConditionKey], int]:
+        """``keys()`` and ``recorded_count()`` from one manifest parse."""
         if self._keys is not None:
-            return list(self._keys)
-        out: List[ConditionKey] = []
-        for record in self._manifest_records():
-            if record.get("status") not in OK_STATUSES:
-                continue
-            key = self._key_from_record(record)
-            if key is not None:
-                out.append(key)
-        return out
+            return list(self._keys), len(self._keys)
+        records = [record for record in self._manifest_records()
+                   if record.get("status") in OK_STATUSES]
+        keys = [key for key in map(self._key_from_record, records)
+                if key is not None]
+        return keys, len(records)
 
     def recorded_behaviour_version(self) -> Optional[int]:
         """The ``SIM_BEHAVIOUR_VERSION`` this campaign dir was recorded
@@ -493,13 +494,13 @@ def campaign_report(
     rank = {fingerprint: index
             for index, fingerprint in enumerate(expected)}
     covered = set()
-    for key in sorted(store.keys(),
+    keys, listed = store.recorded_keys()
+    for key in sorted(keys,
                       key=lambda key: rank.get(key.fingerprint, len(rank))):
         summary = store.load(key)
         if summary is not None:
             report.add(key, summary)
             covered.add(key.fingerprint)
-    listed = store.recorded_count()
     if listed and not covered:
         raise FileNotFoundError(
             f"manifest lists {listed} recorded conditions but none were "

@@ -314,10 +314,13 @@ class QuicEndpoint:
             return StreamChunk(stream.stream_id, 0, 0, True)
         return None
 
-    def try_send(self) -> None:
-        """Transmit as much as window, flow control and pacing allow."""
+    def try_send(self) -> bool:
+        """Transmit as much as window, flow control and pacing allow.
+
+        Returns False when pacing returned before the PTO was re-armed.
+        """
         if self._pace_timer is not None:
-            return
+            return False
         while True:
             # Ring non-empty iff any stream has data (it holds the
             # top-priority subset of streams with data).
@@ -330,12 +333,13 @@ class QuicEndpoint:
             release = self.pacer.next_send_time(now, self.mss + PACKET_OVERHEAD)
             if release > now + 1e-12:
                 self._pace_timer = self._loop.call_at(release, self._pace_fire)
-                return
+                return False
             chunks, payload_bytes = self._fill_packet()
             if not chunks:
                 break
             self._transmit(chunks, payload_bytes)
         self._arm_pto()
+        return True
 
     def _pace_fire(self) -> None:
         self._pace_timer = None
@@ -376,6 +380,8 @@ class QuicEndpoint:
         for lo, hi in payload.ack_ranges:
             # An ACK frame re-reports everything ever received; only the
             # never-before-seen sub-ranges can hold outstanding packets.
+            if acked_pkts.contains(lo, hi):
+                continue
             for gap_lo, gap_hi in acked_pkts.missing_within(lo, hi):
                 for pkt_num in range(gap_lo, gap_hi):
                     sent = self._sent.pop(pkt_num, None)
@@ -423,11 +429,14 @@ class QuicEndpoint:
         self.cc.on_ack(now, acked_bytes, rtt_sample, self._bytes_in_flight,
                        delivery_rate)
 
+        # try_send re-arms the PTO itself unless pacing gates it; with
+        # nothing outstanding beforehand, a paced return arms none.
         if self._sent:
-            self._arm_pto()
+            if not self.try_send():
+                self._arm_pto()
         else:
             self._cancel_pto()
-        self.try_send()
+            self.try_send()
 
     def _detect_losses(self, now: float) -> None:
         if not self._sent or self._largest_acked == 0:
@@ -595,14 +604,11 @@ class QuicEndpoint:
         if self._ack_pending == 0:
             return
         self._ack_pending = 0
-        ranges = tuple(
-            (s, e) for s, e in
-            self._received_pkts.newest_first(self._stack.max_sack_ranges)
-        )
         payload = QuicPacketPayload(
             kind="ack",
             direction=self._direction,
-            ack_ranges=ranges,
+            ack_ranges=tuple(
+                self._received_pkts.newest_first(self._stack.max_sack_ranges)),
             max_data=self._delivered_total + self._flow_cap,
         )
         self._send(ACK_PACKET_BYTES, payload)

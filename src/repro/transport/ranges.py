@@ -140,5 +140,7 @@ class RangeSet:
 
     def newest_first(self, limit: int) -> List[Tuple[int, int]]:
         """Up to ``limit`` ranges, highest first (TCP SACK block order)."""
-        out = list(self)[::-1]
-        return out[:limit]
+        if limit <= 0:
+            return []  # a [-0:] slice would be the whole set
+        return list(zip(self._starts[-limit:][::-1],
+                        self._ends[-limit:][::-1]))

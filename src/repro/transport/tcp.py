@@ -225,9 +225,13 @@ class TcpSender:
             return self.snd_nxt, length, False
         return None
 
-    def _try_send(self) -> None:
+    def _try_send(self) -> bool:
+        """Send what window and pacing allow, then re-arm the RTO.
+
+        Returns False when pacing returned before the RTO was re-armed.
+        """
         if self._pace_timer is not None:
-            return  # a pacing-gated send is already scheduled
+            return False  # a pacing-gated send is already scheduled
         while True:
             chunk = self._next_chunk()
             if chunk is None:
@@ -242,9 +246,10 @@ class TcpSender:
             release = self.pacer.next_send_time(now, length + HEADER_BYTES)
             if release > now + 1e-12:
                 self._pace_timer = self._loop.call_at(release, self._pace_fire)
-                return
+                return False
             self._transmit(seq, length, is_retx)
         self._arm_rto()
+        return True
 
     def _pace_fire(self) -> None:
         self._pace_timer = None
@@ -361,10 +366,9 @@ class TcpSender:
 
         if self.all_acked:
             self._cancel_rto()
-        else:
+            self._try_send()
+        elif not self._try_send():
             self._arm_rto()
-
-        self._try_send()
         self._signal_writable()
 
     def _samples_for(
@@ -443,21 +447,28 @@ class TcpSender:
         if not self._sacked:
             return
         self._expire_stale_retransmissions(now)
-        highest_sacked = self._sacked.highest()
         threshold = DUP_THRESH_BYTES_FACTOR * self.mss
         newly_lost = 0
-        for start, end in self._sacked.missing_within(self.snd_una, highest_sacked):
-            sacked_above = self._bytes_sacked_above(end)
-            if sacked_above < threshold:
-                continue
-            # Only mark sub-ranges whose retransmission is not still in
-            # flight; re-marking in-flight retransmissions causes a
-            # retransmission storm.
-            for sub_start, sub_end in self._retx_in_flight.missing_within(
-                    start, end):
-                before = self._lost.covered_bytes()
-                self._lost.add(sub_start, sub_end)
-                newly_lost += self._lost.covered_bytes() - before
+        # One ascending pass over the scoreboard: every hole above snd_una
+        # ends where a SACKed range starts, and the bytes SACKed above it
+        # are those of that range and all later ones.
+        sacked_above = self._sacked.covered_bytes()
+        cursor = self.snd_una
+        for start, end in self._sacked:
+            if start > cursor:
+                if sacked_above < threshold:
+                    break  # holes further up have even less SACKed above
+                # Only mark sub-ranges whose retransmission is not still
+                # in flight; re-marking in-flight retransmissions causes a
+                # retransmission storm.
+                for sub_start, sub_end in self._retx_in_flight.missing_within(
+                        cursor, start):
+                    before = self._lost.covered_bytes()
+                    self._lost.add(sub_start, sub_end)
+                    newly_lost += self._lost.covered_bytes() - before
+            sacked_above -= end - start
+            if end > cursor:
+                cursor = end
         if newly_lost > 0:
             self.stats.fast_retransmits += 1
             if not self._in_recovery:
@@ -465,9 +476,6 @@ class TcpSender:
                 self._recovery_point = self.snd_nxt
                 self.stats.loss_events += 1
                 self.cc.on_loss_event(now, newly_lost, self._pipe())
-
-    def _bytes_sacked_above(self, offset: int) -> int:
-        return sum(max(0, e - max(s, offset)) for s, e in self._sacked)
 
     def _expire_stale_retransmissions(self, now: float) -> None:
         """RACK-style: a retransmission unacked after ~1.25 srtt was lost.

@@ -195,3 +195,12 @@ class TestProperties:
             gap_points.update(range(s, e))
         expected = set(range(start, end)) - covered
         assert gap_points == expected
+
+    @given(ranges_strategy)
+    @settings(max_examples=200)
+    def test_newest_first_matches_reversed_list(self, adds):
+        rs = RangeSet(adds)
+        n = len(rs)
+        for limit in (0, 1, 3, n - 1, n, n + 1, 256):
+            # The reference is the whole set, reversed, then cut.
+            assert rs.newest_first(limit) == list(rs)[::-1][:limit]

@@ -259,3 +259,21 @@ class TestPostHoc:
         assert "DSL" in out
         assert "TCP" in out and "QUIC" in out
         assert "±" in out
+
+    def test_campaign_report_parses_manifest_once(self, finished_campaign,
+                                                  monkeypatch):
+        import repro.testbed.store as store_mod
+        from repro.analysis.streaming import GridReport
+
+        calls = []
+        read_jsonl = store_mod.read_jsonl
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return read_jsonl(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "read_jsonl", counted)
+        report = store_mod.campaign_report(finished_campaign.campaign_dir,
+                                           GridReport())
+        assert report.to_json()
+        assert len(calls) == 1

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from repro.netem.engine import EventLoop
 from repro.transport.config import TCP, TCP_PLUS
+from repro.transport.ranges import RangeSet
 from repro.transport.tcp import (
     AUTOTUNE_INITIAL_BYTES,
+    DUP_THRESH_BYTES_FACTOR,
     TcpReceiver,
     TcpSegment,
     TcpSender,
@@ -142,6 +144,83 @@ class TestSenderLossDetection:
         ack(sender, 5 * mss)
         assert sender._lost.covered_bytes() == 0
         assert sender._retx_in_flight.covered_bytes() == 0
+
+
+def per_hole_marks(snd_una, sacked, retx_in_flight, lost, mss):
+    """Reference loss marking: sum the bytes SACKed above every hole.
+
+    Returns the ``_lost`` scoreboard after marking, and how many bytes
+    the marking newly covered.
+    """
+    lost = RangeSet(lost)
+    before = lost.covered_bytes()
+    threshold = DUP_THRESH_BYTES_FACTOR * mss
+    for start, end in sacked.missing_within(snd_una, sacked.highest()):
+        above = sum(max(0, e - max(s, end)) for s, e in sacked)
+        if above < threshold:
+            continue
+        for sub_start, sub_end in retx_in_flight.missing_within(start, end):
+            lost.add(sub_start, sub_end)
+    return lost, lost.covered_bytes() - before
+
+
+_MSS = TCP.mss
+
+
+@st.composite
+def _scoreboards(draw):
+    """snd_una plus SACKed, retransmitted and lost ranges, in bytes.
+
+    Offsets come in units of half an MSS, a whole MSS or 1000 bytes, so
+    the bytes SACKed above a hole often land exactly on the threshold.
+    """
+    unit = draw(st.sampled_from([_MSS // 2, _MSS, 1000]))
+    spans = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                     max_size=12)
+
+    def ranges():
+        return RangeSet((s * unit, (s + n) * unit) for s, n in draw(spans))
+
+    snd_una = draw(st.integers(0, 12)) * unit
+    sacked = ranges()
+    sack_at_una = draw(st.integers(0, 4)) * unit
+    if sack_at_una:
+        # A SACKed range that starts exactly at snd_una.
+        sacked.add(snd_una, snd_una + sack_at_una)
+    return snd_una, sacked, ranges(), ranges()
+
+
+class TestLossDetectionOracle:
+    @given(board=_scoreboards(), in_recovery=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_scan_matches_per_hole_rule(self, board, in_recovery):
+        snd_una, sacked, retx, lost = board
+        loop, sender, _ = make_sender()
+        sender.snd_una = snd_una
+        sender.snd_nxt = max(snd_una, sacked.highest(), retx.highest(),
+                             lost.highest())
+        sender._sacked = sacked
+        sender._retx_in_flight = retx
+        sender._lost = RangeSet(lost)
+        sender._in_recovery = in_recovery
+        expected_lost, newly_lost = per_hole_marks(snd_una, sacked, retx,
+                                                   lost, _MSS)
+
+        sender._detect_losses(loop.now)
+
+        assert list(sender._lost) == list(expected_lost)
+        assert sender.stats.fast_retransmits == int(newly_lost > 0)
+        assert sender.stats.loss_events == int(newly_lost > 0
+                                               and not in_recovery)
+
+    def test_hole_marked_lost_at_exact_threshold(self):
+        # One hole, exactly 3 MSS SACKed above it: marked lost.
+        loop, sender, _ = make_sender()
+        sender.snd_nxt = 10 * _MSS
+        sender._sacked = RangeSet([(_MSS, 4 * _MSS)])
+        sender._detect_losses(loop.now)
+        assert list(sender._lost) == [(0, _MSS)]
+        assert sender.stats.loss_events == 1
 
 
 class TestReceiver:
